@@ -65,6 +65,20 @@ impl Args {
         }
     }
 
+    /// A count option that must be at least 1 (a batch size, a width).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the value fails to parse or is 0.
+    pub fn get_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get_or(name, default)? {
+            0 => Err(format!(
+                "invalid value for --{name}: 0 (must be at least 1)"
+            )),
+            n => Ok(n),
+        }
+    }
+
     /// Whether a bare flag was given.
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -97,6 +111,9 @@ mod tests {
         assert!(a.get_or::<usize>("batch", 0).is_ok());
         let b = parse("--batch nope");
         assert!(b.get_or::<usize>("batch", 0).is_err());
+        let c = parse("--batch 0");
+        assert!(c.get_count("batch", 8).unwrap_err().contains("--batch: 0"));
+        assert_eq!(c.get_count("hidden", 8).unwrap(), 8);
     }
 
     #[test]

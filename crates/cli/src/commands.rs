@@ -180,6 +180,15 @@ pub fn stats(args: &Args) -> Result<(), String> {
 
 /// `mega train` — train one model/engine combination and print the history.
 pub fn train(args: &Args) -> Result<(), String> {
+    let hidden = args.get_count("hidden", 32)?;
+    let layers = args.get_count("layers", 2)?;
+    let batch = args.get_count("batch", 32)?;
+    let lr = args.get_or("lr", 5e-3f32)?;
+    if !(lr.is_finite() && lr > 0.0) {
+        return Err(format!(
+            "invalid value for --lr: {lr} (must be positive and finite)"
+        ));
+    }
     let spec = DatasetSpec {
         train: 256,
         val: 64,
@@ -194,9 +203,10 @@ pub fn train(args: &Args) -> Result<(), String> {
         Task::Classification { classes } => classes,
     };
     let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, out)
-        .with_hidden(args.get_or("hidden", 32usize)?)
-        .with_layers(args.get_or("layers", 2usize)?)
+        .with_hidden(hidden)
+        .with_layers(layers)
         .with_heads(4);
+    cfg.validate()?;
     // --threads 0 = auto (RAYON_NUM_THREADS, then hardware); parallel paths
     // are bit-deterministic, so the history is identical for every value.
     let threads = args.get_or("threads", 1usize)?;
@@ -239,8 +249,8 @@ pub fn train(args: &Args) -> Result<(), String> {
     let plan = !args.has_flag("no-plan");
     let trainer = Trainer::new(engine)
         .with_epochs(args.get_or("epochs", 5usize)?)
-        .with_batch_size(args.get_or("batch", 32usize)?)
-        .with_lr(args.get_or("lr", 5e-3f32)?)
+        .with_batch_size(batch)
+        .with_lr(lr)
         .with_parallelism(mega_core::Parallelism::with_threads(threads))
         .with_backend(backend)
         .with_plan(plan);
@@ -323,6 +333,10 @@ pub fn train(args: &Args) -> Result<(), String> {
 /// (`gpusim.dgl.*` / `gpusim.mega.*`), and prints a span tree showing
 /// where host time went. `--trace-out` / `--metrics-out` export the run.
 pub fn profile(args: &Args) -> Result<(), String> {
+    let batch = args.get_count("batch", 64)?;
+    let hidden = args.get_count("hidden", 64)?;
+    let epochs = args.get_or("epochs", 2usize)?;
+    let threads = args.get_or("threads", 1usize)?;
     let spec = DatasetSpec {
         train: 64,
         val: 8,
@@ -331,14 +345,15 @@ pub fn profile(args: &Args) -> Result<(), String> {
     };
     let ds = dataset_by_name(args.get("dataset").unwrap_or("zinc"), &spec)?;
     let kind = model_by_name(args.get("model").unwrap_or("gt"))?;
-    let batch = args.get_or("batch", 64usize)?;
-    let hidden = args.get_or("hidden", 64usize)?;
-    let epochs = args.get_or("epochs", 2usize)?;
-    let threads = args.get_or("threads", 1usize)?;
     let out = match ds.task {
         Task::Regression => 1,
         Task::Classification { classes } => classes,
     };
+    let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, out)
+        .with_hidden(hidden)
+        .with_layers(2)
+        .with_heads(4);
+    cfg.validate()?;
 
     mega_obs::reset();
     mega_obs::set_enabled(true);
@@ -362,15 +377,11 @@ pub fn profile(args: &Args) -> Result<(), String> {
         data!("simulated epoch: {:.3} ms", cost.epoch_seconds * 1e3);
 
         // Instrumented host-side training.
-        let cfg = GnnConfig::new(kind, ds.node_vocab, ds.edge_vocab, out)
-            .with_hidden(hidden)
-            .with_layers(2)
-            .with_heads(4);
         let trainer = Trainer::new(engine)
             .with_epochs(epochs)
             .with_batch_size(batch)
             .with_parallelism(mega_core::Parallelism::with_threads(threads));
-        let hist = trainer.run(&ds, cfg);
+        let hist = trainer.run(&ds, cfg.clone());
         data!(
             "trained {epochs} epochs: final train-loss {:.4} | host phases/epoch \
              (assemble {:.1}ms, forward {:.1}ms, backward {:.1}ms, opt {:.1}ms, eval {:.1}ms)",

@@ -25,6 +25,7 @@
 //! matters — and the one CI's `dist-equivalence` matrix enforces — is
 //! worker-count invariance at fixed sharding.
 
+use mega_core::AttentionSchedule;
 use mega_datasets::{Dataset, GraphSample, Task};
 use mega_exec::{BufferPool, PackCache};
 use mega_gnn::nn::Binder;
@@ -83,18 +84,36 @@ impl DistTrainer {
     /// Builds one single-sample batch per sample — the fixed shard
     /// granularity that makes the reduction worker-count invariant.
     fn build_shards(&self, samples: &[GraphSample]) -> Vec<Batch> {
-        samples
+        self.build_shards_keeping(samples, 0).0
+    }
+
+    /// [`Self::build_shards`], also returning the schedules of the first
+    /// `keep` samples (none under the baseline engine): the cost model's
+    /// representative batch is made of them.
+    fn build_shards_keeping(
+        &self,
+        samples: &[GraphSample],
+        keep: usize,
+    ) -> (Vec<Batch>, Vec<AttentionSchedule>) {
+        let mut kept = Vec::new();
+        let shards = samples
             .chunks(1)
-            .map(|c| match self.inner.engine {
+            .enumerate()
+            .map(|(i, c)| match self.inner.engine {
                 EngineChoice::Baseline => Batch::baseline(c),
                 EngineChoice::Mega => {
                     let schedules =
                         preprocess_samples(c, &self.inner.mega_config, &self.inner.parallelism)
                             .expect("preprocessing of a valid graph cannot fail");
-                    Batch::mega_with(c, &schedules, &self.inner.parallelism)
+                    let shard = Batch::mega_with(c, &schedules, &self.inner.parallelism);
+                    if i < keep {
+                        kept.extend(schedules);
+                    }
+                    shard
                 }
             })
-            .collect()
+            .collect();
+        (shards, kept)
     }
 
     /// Computes loss, metric, and (optionally) gradients for one shard on
@@ -219,12 +238,13 @@ impl DistTrainer {
         let t = &self.inner;
 
         let pre_start = mega_obs::Stopwatch::start();
-        let (train_shards, val_shards) = {
+        // The representative batch of the cost model: the first train
+        // batch, whose schedules the shards already build.
+        let rep = &dataset.train[..dataset.train.len().min(t.batch_size)];
+        let (train_shards, rep_schedules, val_shards) = {
             let _s = mega_obs::span("assemble");
-            (
-                self.build_shards(&dataset.train),
-                self.build_shards(&dataset.val),
-            )
+            let (train, rep_schedules) = self.build_shards_keeping(&dataset.train, rep.len());
+            (train, rep_schedules, self.build_shards(&dataset.val))
         };
         let preprocess_seconds = if t.engine == EngineChoice::Mega {
             pre_start.elapsed().as_secs_f64()
@@ -236,23 +256,15 @@ impl DistTrainer {
         // accounting as the single-process trainer, so sim-clock columns
         // stay comparable across the two.
         let steps_per_epoch = dataset.train.len().div_ceil(t.batch_size.max(1)).max(1);
-        let rep = &dataset.train[..dataset.train.len().min(t.batch_size)];
-        let rep_schedules = if t.engine == EngineChoice::Mega {
-            Some(
-                preprocess_samples(rep, &t.mega_config, &t.parallelism)
-                    .expect("preprocessing of a valid graph cannot fail"),
-            )
-        } else {
-            None
-        };
         let epoch_sim_seconds = cost::epoch_cost(
             &config,
             t.engine,
             rep,
-            rep_schedules.as_deref(),
+            (t.engine == EngineChoice::Mega).then_some(&rep_schedules[..]),
             steps_per_epoch,
         )
         .epoch_seconds;
+        drop(rep_schedules);
 
         let mut store = ParamStore::new();
         let model = Gnn::new(&mut store, config.clone());
@@ -513,6 +525,26 @@ mod tests {
         let four = DistTrainer::new(base, 4).run(&ds, cfg);
         assert_eq!(bits(&one), bits(&four));
         assert!(one.records.iter().all(|r| r.train_loss.is_finite()));
+    }
+
+    #[test]
+    fn simulated_epoch_costs_the_first_train_batch() {
+        let (ds, cfg) = tiny(42);
+        let base = Trainer::new(EngineChoice::Mega)
+            .with_epochs(1)
+            .with_batch_size(8);
+        let hist = DistTrainer::new(base, 2).run(&ds, cfg.clone());
+        let rep = &ds.train[..8];
+        let schedules: Vec<_> = rep
+            .iter()
+            .map(|s| mega_core::preprocess(&s.graph, &Default::default()).unwrap())
+            .collect();
+        let steps = ds.train.len().div_ceil(8);
+        let want = cost::epoch_cost(&cfg, EngineChoice::Mega, rep, Some(&schedules), steps);
+        assert_eq!(
+            hist.epoch_sim_seconds.to_bits(),
+            want.epoch_seconds.to_bits()
+        );
     }
 
     #[test]

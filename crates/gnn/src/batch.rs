@@ -71,18 +71,24 @@ impl MegaSegment {
         // edge dropping is configured that equals the sample graph. Its
         // edge list order matches the sample's edge_features indexing.
         let working_pairs: Vec<(usize, usize)> = sched.working_graph().edges().collect();
-        let sample_pairs: Vec<(usize, usize)> = g.edges().collect();
+        // Sample edge ids sorted by unordered endpoint pair, lowest id
+        // first when a pair repeats.
+        let pair = |a: usize, b: usize| (a.min(b), a.max(b));
+        let mut sample_edges: Vec<((usize, usize), usize)> = g
+            .edges()
+            .enumerate()
+            .map(|(eid, (a, b))| (pair(a, b), eid))
+            .collect();
+        sample_edges.sort_unstable();
         let mut msgs = Vec::new();
         for slot in sched.band().active_slots() {
             let (a, b) = working_pairs[slot.edge];
             // Map the working-graph edge back to the sample edge id for
             // its feature (identical when nothing was dropped).
-            let feat = match sample_pairs
-                .iter()
-                .position(|&p| p == (a, b) || p == (b, a))
-            {
-                Some(eid) => s.edge_features[eid],
-                None => 0,
+            let i = sample_edges.partition_point(|&(p, _)| p < pair(a, b));
+            let feat = match sample_edges.get(i) {
+                Some(&(p, eid)) if p == pair(a, b) => s.edge_features[eid],
+                _ => 0,
             };
             let (lo_node, hi_node) = (path.node_at(slot.lo), path.node_at(slot.hi));
             // Two directed messages per band slot.
@@ -334,6 +340,31 @@ mod tests {
         // Baseline work rows are node rows (identity), so node_to_work maps
         // sources correctly for both.
         assert_eq!(collect(&base), collect(&mega));
+    }
+
+    #[test]
+    fn edge_features_match_a_scan_of_sample_edges() {
+        // With edge dropping the working graph differs from the sample, so
+        // each message's feature goes through the pair lookup.
+        let cfg = MegaConfig {
+            edge_drop: 0.3,
+            ..MegaConfig::default()
+        };
+        for s in samples() {
+            let sched = preprocess(&s.graph, &cfg).unwrap();
+            let b = Batch::mega(std::slice::from_ref(&s), std::slice::from_ref(&sched));
+            let pairs: Vec<(usize, usize)> = s.graph.edges().collect();
+            let path = sched.path();
+            for i in 0..b.indices.msg_count() {
+                let (u, v) = (
+                    path.node_at(b.indices.msg_src_work[i]),
+                    path.node_at(b.indices.msg_dst_work[i]),
+                );
+                let eid = pairs.iter().position(|&p| p == (u, v) || p == (v, u));
+                let want = eid.map_or(0, |e| s.edge_features[e]);
+                assert_eq!(b.indices.msg_edge_feat[i], want, "message {i}");
+            }
+        }
     }
 
     #[test]

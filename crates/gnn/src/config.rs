@@ -112,16 +112,39 @@ impl GnnConfig {
     /// Panics on invalid combinations — configuration errors are programmer
     /// errors in this workspace.
     pub fn assert_valid(&self) {
-        assert!(self.hidden_dim > 0 && self.layers > 0 && self.out_dim > 0);
-        assert!(self.node_vocab > 0 && self.edge_vocab > 0);
-        if matches!(self.kind, ModelKind::GraphTransformer | ModelKind::Gat) {
-            assert!(
-                self.heads > 0 && self.hidden_dim.is_multiple_of(self.heads),
-                "heads {} must divide hidden_dim {}",
-                self.heads,
-                self.hidden_dim
-            );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
+    }
+
+    /// Checks the configuration, naming the first invalid setting.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a dimension, layer count or vocabulary is
+    /// zero, or when an attention model's heads do not divide its hidden
+    /// width.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("hidden_dim", self.hidden_dim),
+            ("layers", self.layers),
+            ("out_dim", self.out_dim),
+            ("node_vocab", self.node_vocab),
+            ("edge_vocab", self.edge_vocab),
+        ] {
+            if v == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
+        if matches!(self.kind, ModelKind::GraphTransformer | ModelKind::Gat)
+            && !(self.heads > 0 && self.hidden_dim.is_multiple_of(self.heads))
+        {
+            return Err(format!(
+                "heads {} must divide hidden_dim {}",
+                self.heads, self.hidden_dim
+            ));
+        }
+        Ok(())
     }
 }
 

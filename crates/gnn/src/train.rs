@@ -246,17 +246,33 @@ impl Trainer {
     }
 
     fn build_batches(&self, samples: &[GraphSample]) -> Vec<Batch> {
-        let chunks: Vec<&[GraphSample]> = samples.chunks(self.batch_size).collect();
-        match self.engine {
-            EngineChoice::Baseline => chunks.into_iter().map(Batch::baseline).collect(),
+        self.build_batches_keeping_first(samples).0
+    }
+
+    /// [`Self::build_batches`], also returning the first batch's schedules
+    /// (none under the baseline engine): the cost model's representative
+    /// batch is that first batch.
+    fn build_batches_keeping_first(
+        &self,
+        samples: &[GraphSample],
+    ) -> (Vec<Batch>, Vec<AttentionSchedule>) {
+        let chunks = samples.chunks(self.batch_size);
+        let mut first = Vec::new();
+        let batches = match self.engine {
+            EngineChoice::Baseline => chunks.map(Batch::baseline).collect(),
             EngineChoice::Mega => chunks
-                .into_iter()
-                .map(|c| {
+                .enumerate()
+                .map(|(i, c)| {
                     let schedules = self.preprocess_all(c);
-                    Batch::mega_with(c, &schedules, &self.parallelism)
+                    let batch = Batch::mega_with(c, &schedules, &self.parallelism);
+                    if i == 0 {
+                        first = schedules;
+                    }
+                    batch
                 })
                 .collect(),
-        }
+        };
+        (batches, first)
     }
 
     /// Runs training and returns the per-epoch history.
@@ -268,12 +284,10 @@ impl Trainer {
 
         // One-time preprocessing (CPU side, decoupled from training).
         let pre_start = mega_obs::Stopwatch::start();
-        let (train_batches, val_batches) = {
+        let (train_batches, rep_schedules, val_batches) = {
             let _s = mega_obs::span("assemble");
-            (
-                self.build_batches(&dataset.train),
-                self.build_batches(&dataset.val),
-            )
+            let (train, rep_schedules) = self.build_batches_keeping_first(&dataset.train);
+            (train, rep_schedules, self.build_batches(&dataset.val))
         };
         let preprocess_seconds = if self.engine == EngineChoice::Mega {
             pre_start.elapsed().as_secs_f64()
@@ -281,21 +295,18 @@ impl Trainer {
             0.0
         };
 
-        // Simulated GPU epoch time from a representative batch.
+        // Simulated GPU epoch time from a representative batch: the first
+        // train batch, whose schedules are already built.
         let rep = &dataset.train[..dataset.train.len().min(self.batch_size)];
-        let rep_schedules = if self.engine == EngineChoice::Mega {
-            Some(self.preprocess_all(rep))
-        } else {
-            None
-        };
         let epoch_sim_seconds = cost::epoch_cost(
             &config,
             self.engine,
             rep,
-            rep_schedules.as_deref(),
+            (self.engine == EngineChoice::Mega).then_some(&rep_schedules[..]),
             train_batches.len(),
         )
         .epoch_seconds;
+        drop(rep_schedules);
 
         let mut store = ParamStore::new();
         let model = Gnn::new(&mut store, config.clone());
@@ -577,6 +588,27 @@ mod tests {
         );
         // And the simulated clock runs faster for MEGA.
         assert!(mega.epoch_sim_seconds < base.epoch_sim_seconds);
+    }
+
+    #[test]
+    fn simulated_epoch_costs_the_first_train_batch() {
+        let ds = zinc(&DatasetSpec::tiny(22));
+        let cfg = tiny_config(&ds, ModelKind::GraphTransformer, 1);
+        let hist = Trainer::new(EngineChoice::Mega)
+            .with_epochs(1)
+            .with_batch_size(8)
+            .run(&ds, cfg.clone());
+        let rep = &ds.train[..8];
+        let schedules: Vec<_> = rep
+            .iter()
+            .map(|s| mega_core::preprocess(&s.graph, &MegaConfig::default()).unwrap())
+            .collect();
+        let steps = ds.train.len().div_ceil(8);
+        let want = cost::epoch_cost(&cfg, EngineChoice::Mega, rep, Some(&schedules), steps);
+        assert_eq!(
+            hist.epoch_sim_seconds.to_bits(),
+            want.epoch_seconds.to_bits()
+        );
     }
 
     #[test]

@@ -17,6 +17,40 @@ pub enum Access {
     LineMiss,
 }
 
+/// `x / d` and `x % d` for a divisor fixed at construction: shifts and
+/// masks when `d` is a power of two, division otherwise (the 5 MiB device
+/// has 2560 sets).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    value: u64,
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(value: u64) -> Self {
+        Divisor {
+            value,
+            shift: value.is_power_of_two().then(|| value.trailing_zeros()),
+        }
+    }
+
+    #[inline]
+    fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(k) => x >> k,
+            None => x / self.value,
+        }
+    }
+
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.value - 1),
+            None => x % self.value,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Line {
     tag: u64,
@@ -26,6 +60,10 @@ struct Line {
 }
 
 /// A sectored set-associative LRU cache.
+///
+/// Each set remembers its most recently used way and checks it before
+/// scanning all of its ways; a line is resident in at most one way, so the
+/// hint finds exactly the way the scan would.
 ///
 /// # Example
 ///
@@ -39,12 +77,13 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
-    line_bytes: u64,
-    sector_bytes: u64,
-    sectors_per_line: u32,
-    sets: usize,
+    line: Divisor,
+    sector: Divisor,
+    sets: Divisor,
     assoc: usize,
     lines: Vec<Line>,
+    /// Most recently used way of each set.
+    mru: Vec<u32>,
     clock: u64,
     hits: u64,
     sector_misses: u64,
@@ -76,10 +115,9 @@ impl SectoredCache {
         let sets = capacity_bytes / (line_bytes * assoc);
         assert!(sets > 0, "cache needs at least one set");
         SectoredCache {
-            line_bytes: line_bytes as u64,
-            sector_bytes: sector_bytes as u64,
-            sectors_per_line: (line_bytes / sector_bytes) as u32,
-            sets,
+            line: Divisor::new(line_bytes as u64),
+            sector: Divisor::new(sector_bytes as u64),
+            sets: Divisor::new(sets as u64),
             assoc,
             lines: vec![
                 Line {
@@ -90,6 +128,7 @@ impl SectoredCache {
                 };
                 sets * assoc
             ],
+            mru: vec![0; sets],
             clock: 0,
             hits: 0,
             sector_misses: 0,
@@ -98,39 +137,46 @@ impl SectoredCache {
     }
 
     /// Accesses the sector containing byte address `addr`.
+    #[inline]
     pub fn access_sector(&mut self, addr: u64) -> Access {
         self.clock += 1;
-        let line_addr = addr / self.line_bytes;
-        let sector_in_line = ((addr % self.line_bytes) / self.sector_bytes) as u32;
-        let sector_bit = 1u32 << sector_in_line;
-        debug_assert!(sector_in_line < self.sectors_per_line);
-        let set = (line_addr % self.sets as u64) as usize;
+        let line_addr = self.line.div(addr);
+        let sector_bit = 1u32 << self.sector.div(self.line.rem(addr));
+        let set = self.sets.rem(line_addr) as usize;
         let base = set * self.assoc;
         let ways = &mut self.lines[base..base + self.assoc];
-
-        // Lookup.
-        for way in ways.iter_mut() {
-            if way.valid && way.tag == line_addr {
-                way.last_use = self.clock;
-                return if way.sectors & sector_bit != 0 {
-                    self.hits += 1;
-                    Access::Hit
-                } else {
-                    way.sectors |= sector_bit;
-                    self.sector_misses += 1;
-                    Access::SectorMiss
-                };
-            }
+        let hint = self.mru[set] as usize;
+        let resident = |w: &Line| w.valid && w.tag == line_addr;
+        let hit = if resident(&ways[hint]) {
+            Some(hint)
+        } else {
+            ways.iter().position(resident)
+        };
+        if let Some(w) = hit {
+            self.mru[set] = w as u32;
+            let way = &mut ways[w];
+            way.last_use = self.clock;
+            let present = way.sectors & sector_bit != 0;
+            way.sectors |= sector_bit;
+            return if present {
+                self.hits += 1;
+                Access::Hit
+            } else {
+                self.sector_misses += 1;
+                Access::SectorMiss
+            };
         }
         // Miss: pick invalid way or LRU victim.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
-            .expect("associativity >= 1");
-        victim.valid = true;
-        victim.tag = line_addr;
-        victim.sectors = sector_bit;
-        victim.last_use = self.clock;
+        let victim = (0..ways.len())
+            .min_by_key(|&w| if ways[w].valid { ways[w].last_use } else { 0 })
+            .unwrap_or(0);
+        ways[victim] = Line {
+            tag: line_addr,
+            sectors: sector_bit,
+            last_use: self.clock,
+            valid: true,
+        };
+        self.mru[set] = victim as u32;
         self.line_misses += 1;
         Access::LineMiss
     }

@@ -505,4 +505,67 @@ mod tests {
         let mut p = Profiler::new(DeviceConfig::gtx_1080());
         model.simulate_step(&mut p, &topo);
     }
+
+    /// Fingerprint of [`simulated_step_is_pinned`]'s configurations, as
+    /// the per-element replay computed it.
+    const PINNED: u64 = 0x33c6_49a4_20fd_160c;
+
+    /// FNV-1a over a step's simulated time and every report row: the
+    /// fingerprint of the simulator's output for one configuration.
+    fn fingerprint(cost: &EpochCost) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(cost.step_seconds.to_bits());
+        for r in cost.report.kernels() {
+            eat(r.kind as u64);
+            for v in [
+                r.invocations,
+                r.cycles,
+                r.load_transactions,
+                r.l2_hits,
+                r.l2_misses,
+            ] {
+                eat(v);
+            }
+            for v in [r.time_share, r.sm_efficiency, r.stall_pct, r.balance] {
+                eat(v.to_bits());
+            }
+        }
+        h
+    }
+
+    /// The simulated numbers are a contract: a change to how the simulator
+    /// computes them (not to what it models) must leave every bit of the
+    /// step time and the report in place. The three devices cover 1024-set
+    /// (power of two) and 2560-set L2 geometries.
+    #[test]
+    fn simulated_step_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut graphs = batch(8);
+        graphs.push(generate::barabasi_albert(300, 4, &mut rng).unwrap());
+        let topo = BatchTopology::from_graphs_with_schedules(&graphs, &schedules(&graphs));
+        let mut h = 0u64;
+        for device in [
+            DeviceConfig::gtx_1080(),
+            DeviceConfig::rtx_3080(),
+            DeviceConfig::gtx_1050(),
+        ] {
+            for spec in [
+                ModelSpec::gated_gcn(64, 2),
+                ModelSpec::graph_transformer(64, 2),
+                ModelSpec::gat(32, 1),
+            ] {
+                for engine in [EngineKind::DglBaseline, EngineKind::Mega] {
+                    let cost = GnnCostModel::new(device.clone(), spec.clone(), engine)
+                        .epoch_cost(&topo, 3);
+                    h = h.rotate_left(5) ^ fingerprint(&cost);
+                }
+            }
+        }
+        assert_eq!(h, PINNED, "simulated output changed: {h:#018x}");
+    }
 }

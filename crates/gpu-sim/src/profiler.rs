@@ -18,7 +18,7 @@
 //! being hard-coded.
 
 use crate::cache::{Access, SectoredCache};
-use crate::coalesce::warp_sectors;
+use crate::coalesce::{RunCoalescer, F32_BYTES};
 use crate::device::DeviceConfig;
 use crate::kernel::{KernelKind, KernelStats};
 use crate::report::ProfileReport;
@@ -47,10 +47,52 @@ pub struct Profiler {
     total_cycles: u64,
 }
 
+#[derive(Default)]
 struct LaunchOutcome {
     transactions: u64,
     hits: u64,
     misses: u64,
+}
+
+/// One launch's access stream on its way through the warp coalescer into
+/// the shared L2. Launches describe their streams as runs of lanes; the
+/// outcome is the same as replaying every lane address one by one.
+struct Replay<'a> {
+    coalescer: RunCoalescer,
+    l2: &'a mut SectoredCache,
+    sector_bytes: u64,
+    out: LaunchOutcome,
+}
+
+impl Replay<'_> {
+    /// `lanes` lanes at `base`, `base + stride`, ….
+    fn strided(&mut self, base: u64, lanes: usize, stride: u64) {
+        let sink = &mut |warp: &[u64]| transact(self.l2, self.sector_bytes, &mut self.out, warp);
+        self.coalescer.push_run(base, lanes, stride, sink);
+    }
+
+    /// `cols` f32 columns of `a` and `b`, read interleaved.
+    fn interleaved(&mut self, a: u64, b: u64, cols: usize) {
+        let sink = &mut |warp: &[u64]| transact(self.l2, self.sector_bytes, &mut self.out, warp);
+        self.coalescer.push_pair_run(a, b, cols, sink);
+    }
+
+    fn finish(mut self) -> LaunchOutcome {
+        let sink = &mut |warp: &[u64]| transact(self.l2, self.sector_bytes, &mut self.out, warp);
+        self.coalescer.finish(sink);
+        self.out
+    }
+}
+
+/// Sends one warp's sector transactions to the L2.
+fn transact(l2: &mut SectoredCache, sector_bytes: u64, out: &mut LaunchOutcome, sectors: &[u64]) {
+    for &s in sectors {
+        out.transactions += 1;
+        match l2.access_sector(s * sector_bytes) {
+            Access::Hit => out.hits += 1,
+            Access::SectorMiss | Access::LineMiss => out.misses += 1,
+        }
+    }
 }
 
 impl Profiler {
@@ -106,35 +148,13 @@ impl Profiler {
         self.total_cycles = 0;
     }
 
-    fn run_stream<I: IntoIterator<Item = u64>>(&mut self, element_addrs: I) -> LaunchOutcome {
-        let mut out = LaunchOutcome {
-            transactions: 0,
-            hits: 0,
-            misses: 0,
-        };
-        let sector = self.device.sector_bytes as u64;
-        let warp = self.device.warp_size;
-        let mut lane_buf: Vec<u64> = Vec::with_capacity(warp);
-        let flush = |buf: &mut Vec<u64>, l2: &mut SectoredCache, out: &mut LaunchOutcome| {
-            for s in warp_sectors(buf, sector) {
-                out.transactions += 1;
-                match l2.access_sector(s * sector) {
-                    Access::Hit => out.hits += 1,
-                    Access::SectorMiss | Access::LineMiss => out.misses += 1,
-                }
-            }
-            buf.clear();
-        };
-        for a in element_addrs {
-            lane_buf.push(a);
-            if lane_buf.len() == warp {
-                flush(&mut lane_buf, &mut self.l2, &mut out);
-            }
+    fn replay(&mut self) -> Replay<'_> {
+        Replay {
+            coalescer: RunCoalescer::new(self.device.warp_size, self.device.sector_bytes as u64),
+            l2: &mut self.l2,
+            sector_bytes: self.device.sector_bytes as u64,
+            out: LaunchOutcome::default(),
         }
-        if !lane_buf.is_empty() {
-            flush(&mut lane_buf, &mut self.l2, &mut out);
-        }
-        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -237,13 +257,13 @@ impl Profiler {
     ) {
         const TILE: usize = 64;
         let flops = 2 * m as u64 * n as u64 * k as u64 + epilogue_flops;
-        // Compulsory traffic: touch every input/output element once.
-        let addrs = (0..m * k)
-            .step_by(8)
-            .map(move |i| a.0 + (i * 4) as u64)
-            .chain((0..k * n).step_by(8).map(move |i| b.0 + (i * 4) as u64))
-            .chain((0..m * n).step_by(8).map(move |i| c.0 + (i * 4) as u64));
-        let outcome = self.run_stream(addrs);
+        // Compulsory traffic: touch every input/output element once (one
+        // lane per 8 elements).
+        let mut r = self.replay();
+        r.strided(a.0, (m * k).div_ceil(8), 8 * F32_BYTES);
+        r.strided(b.0, (k * n).div_ceil(8), 8 * F32_BYTES);
+        r.strided(c.0, (m * n).div_ceil(8), 8 * F32_BYTES);
+        let outcome = r.finish();
         // Tiling refetch traffic (hits in L2/shared): A refetched n/TILE
         // times, B refetched m/TILE times.
         let refetch = (m * k * (n.div_ceil(TILE)).saturating_sub(1)
@@ -278,12 +298,12 @@ impl Profiler {
         feat_dim: usize,
         dst_rows: usize,
     ) {
-        let row_bytes = (feat_dim * 4) as u64;
-        let addrs = index.iter().flat_map(move |&r| {
-            let src_base = src.0 + r as u64 * row_bytes;
-            (0..feat_dim).map(move |c| src_base + (c * 4) as u64)
-        });
-        let outcome = self.run_stream(addrs);
+        let row_bytes = feat_dim as u64 * F32_BYTES;
+        let mut r = self.replay();
+        for &row in index {
+            r.strided(src.0 + row as u64 * row_bytes, feat_dim, F32_BYTES);
+        }
+        let outcome = r.finish();
         let instructions = (index.len() * feat_dim) as u64 * 2;
         self.charge(
             KernelKind::DglGather,
@@ -306,18 +326,18 @@ impl Profiler {
         feat_dim: usize,
         dst_rows: usize,
     ) {
-        let row_bytes = (feat_dim * 4) as u64;
+        let row_bytes = feat_dim as u64 * F32_BYTES;
         let mut counts = vec![0u32; dst_rows.max(1)];
         for &r in index {
             if r < counts.len() {
                 counts[r] += 1;
             }
         }
-        let addrs = index.iter().flat_map(move |&r| {
-            let dst_base = dst.0 + r as u64 * row_bytes;
-            (0..feat_dim).map(move |c| dst_base + (c * 4) as u64)
-        });
-        let outcome = self.run_stream(addrs);
+        let mut r = self.replay();
+        for &row in index {
+            r.strided(dst.0 + row as u64 * row_bytes, feat_dim, F32_BYTES);
+        }
+        let outcome = r.finish();
         let max = counts.iter().copied().max().unwrap_or(1).max(1) as f64;
         let mean = index.len() as f64 / counts.iter().filter(|&&c| c > 0).count().max(1) as f64;
         let balance = (mean / max).clamp(0.05, 1.0);
@@ -340,11 +360,12 @@ impl Profiler {
         // One traced scattered pass stands in for the write side of all four
         // digit passes (a hash stands in for data-dependent bucket targets).
         let modulus = n_keys.max(1) as u64;
-        let addrs = (0..n_keys).map(move |i| {
-            let h = (i as u64).wrapping_mul(0x9e3779b97f4a7c15) % modulus;
-            keys.0 + h * 4
-        });
-        let outcome = self.run_stream(addrs);
+        let mut r = self.replay();
+        for i in 0..n_keys as u64 {
+            let h = i.wrapping_mul(0x9e3779b97f4a7c15) % modulus;
+            r.strided(keys.0 + h * F32_BYTES, 1, F32_BYTES);
+        }
+        let outcome = r.finish();
         let instructions = n_keys as u64 * 4 * 6;
         self.charge(
             KernelKind::CubSort,
@@ -359,8 +380,10 @@ impl Profiler {
 
     /// Contiguous copy of `bytes`.
     pub fn launch_memcpy(&mut self, ptr: DevicePtr, bytes: usize) {
-        let addrs = (0..bytes).step_by(8).map(move |o| ptr.0 + o as u64);
-        let outcome = self.run_stream(addrs);
+        // One lane per 8 bytes.
+        let mut r = self.replay();
+        r.strided(ptr.0, bytes.div_ceil(8), 8);
+        let outcome = r.finish();
         self.charge(
             KernelKind::Memcpy,
             0,
@@ -381,17 +404,20 @@ impl Profiler {
         window: usize,
         feat_dim: usize,
     ) {
-        let row_bytes = (feat_dim * 4) as u64;
-        let addrs = (0..path_len).flat_map(move |i| {
+        let row_bytes = feat_dim as u64 * F32_BYTES;
+        // Rows `lo..=hi` are contiguous: one run per window.
+        let mut r = self.replay();
+        for i in 0..path_len {
             let lo = i.saturating_sub(window);
-            let hi = (i + window).min(path_len.saturating_sub(1));
-            (lo..=hi).flat_map(move |j| {
-                let base = path_buf.0 + j as u64 * row_bytes;
-                (0..feat_dim).map(move |c| base + (c * 4) as u64)
-            })
-        });
+            let hi = (i + window).min(path_len - 1);
+            r.strided(
+                path_buf.0 + lo as u64 * row_bytes,
+                (hi - lo + 1) * feat_dim,
+                F32_BYTES,
+            );
+        }
+        let outcome = r.finish();
         let elements = (path_len * (2 * window + 1) * feat_dim) as u64;
-        let outcome = self.run_stream(addrs);
         let instructions = elements * 2;
         self.charge(
             KernelKind::MegaBandGather,
@@ -419,18 +445,20 @@ impl Profiler {
         window: usize,
         feat_dim: usize,
     ) {
-        let row_bytes = (feat_dim * 4) as u64;
-        let addrs = (0..path_len).flat_map(move |i| {
+        let row_bytes = feat_dim as u64 * F32_BYTES;
+        let mut r = self.replay();
+        for i in 0..path_len {
             let lo = i.saturating_sub(window);
-            let hi = (i + window).min(path_len.saturating_sub(1));
-            (lo..=hi).flat_map(move |j| {
-                let x_base = x_buf.0 + j as u64 * row_bytes;
-                let g_base = grad_buf.0 + j as u64 * row_bytes;
-                (0..feat_dim).flat_map(move |c| [x_base + (c * 4) as u64, g_base + (c * 4) as u64])
-            })
-        });
+            let hi = (i + window).min(path_len - 1);
+            let offset = lo as u64 * row_bytes;
+            r.interleaved(
+                x_buf.0 + offset,
+                grad_buf.0 + offset,
+                (hi - lo + 1) * feat_dim,
+            );
+        }
+        let outcome = r.finish();
         let elements = (path_len * (2 * window + 1) * feat_dim) as u64 * 2;
-        let outcome = self.run_stream(addrs);
         // One mul + one add per element pair, plus address math.
         let flops = elements;
         let instructions = elements * 2;
@@ -456,13 +484,13 @@ impl Profiler {
         position_to_node: &[usize],
         feat_dim: usize,
     ) {
-        let row_bytes = (feat_dim * 4) as u64;
-        let addrs = position_to_node.iter().flat_map(move |&v| {
-            let base = node_buf.0 + v as u64 * row_bytes;
-            (0..feat_dim).map(move |c| base + (c * 4) as u64)
-        });
+        let row_bytes = feat_dim as u64 * F32_BYTES;
+        let mut r = self.replay();
+        for &v in position_to_node {
+            r.strided(node_buf.0 + v as u64 * row_bytes, feat_dim, F32_BYTES);
+        }
+        let outcome = r.finish();
         let elements = (position_to_node.len() * feat_dim) as u64;
-        let outcome = self.run_stream(addrs);
         let instructions = elements * 3;
         self.charge(
             KernelKind::MegaBandScatter,
@@ -478,10 +506,9 @@ impl Profiler {
     /// Elementwise neural op over `elements` f32 values (`flops_per_element`
     /// each), streaming read + write.
     pub fn launch_elementwise(&mut self, ptr: DevicePtr, elements: usize, flops_per_element: u64) {
-        let addrs = (0..elements)
-            .step_by(8)
-            .map(move |i| ptr.0 + (i * 4) as u64);
-        let outcome = self.run_stream(addrs);
+        let mut r = self.replay();
+        r.strided(ptr.0, elements.div_ceil(8), 8 * F32_BYTES);
+        let outcome = r.finish();
         self.charge(
             KernelKind::Elementwise,
             elements as u64 * flops_per_element,
